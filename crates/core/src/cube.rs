@@ -10,6 +10,40 @@
 use crate::model::{GroupId, LocationId, QueryId, Universe};
 use serde::{Deserialize, Serialize};
 
+/// Why [`UnfairnessCube::try_set`] rejected a cell.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CellError {
+    /// An id outside the cube's dimensions.
+    OutOfBounds {
+        /// The group id.
+        g: GroupId,
+        /// The query id.
+        q: QueryId,
+        /// The location id.
+        l: LocationId,
+    },
+    /// A value that is not finite or not in `[0, 1]`.
+    OutOfRange(f64),
+}
+
+impl std::fmt::Display for CellError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::OutOfBounds { g, q, l } => {
+                write!(f, "cell ⟨{}, {}, {}⟩ outside the cube", g.0, q.0, l.0)
+            }
+            Self::OutOfRange(v) => write!(f, "unfairness value {v} out of [0,1]"),
+        }
+    }
+}
+
+impl std::error::Error for CellError {}
+
+/// Whether `v` can be a cell: every measure is normalized to `[0, 1]`.
+fn is_unfairness(v: f64) -> bool {
+    v.is_finite() && (0.0..=1.0).contains(&v)
+}
+
 /// Dense 3-D array of unfairness values over a [`Universe`]'s dimensions.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct UnfairnessCube {
@@ -65,29 +99,42 @@ impl UnfairnessCube {
     /// Panics if `value` is not finite or not in `[0, 1]` — every measure
     /// in this framework is normalized, so anything else is a bug upstream.
     pub fn set(&mut self, g: GroupId, q: QueryId, l: LocationId, value: f64) {
-        assert!(
-            value.is_finite() && (0.0..=1.0).contains(&value),
-            "unfairness value {value} out of [0,1]"
-        );
-        let o = self.offset(g, q, l);
-        self.data[o] = Some(value);
+        self.set_opt(g, q, l, Some(value));
     }
 
     /// Sets or clears a cell from an optional measure result.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`set`](Self::set) does, and on an id out of range.
     pub fn set_opt(&mut self, g: GroupId, q: QueryId, l: LocationId, value: Option<f64>) {
-        match value {
-            Some(v) => {
-                assert!(
-                    v.is_finite() && (0.0..=1.0).contains(&v),
-                    "unfairness value {v} out of [0,1]"
-                );
-                self.set(g, q, l, v);
-            }
-            None => {
-                let o = self.offset(g, q, l);
-                self.data[o] = None;
-            }
+        if let Some(v) = value {
+            assert!(is_unfairness(v), "unfairness value {v} out of [0,1]");
         }
+        let o = self.offset(g, q, l);
+        self.data[o] = value;
+    }
+
+    /// The fallible [`set_opt`](Self::set_opt), for values from outside
+    /// the program (a decoded snapshot): rejects an id out of range or a
+    /// value that is not finite or not in `[0, 1]`, leaving the cube
+    /// unchanged.
+    pub fn try_set(
+        &mut self,
+        g: GroupId,
+        q: QueryId,
+        l: LocationId,
+        value: Option<f64>,
+    ) -> Result<(), CellError> {
+        let (gi, qi, li) = (g.0 as usize, q.0 as usize, l.0 as usize);
+        if gi >= self.n_groups || qi >= self.n_queries || li >= self.n_locations {
+            return Err(CellError::OutOfBounds { g, q, l });
+        }
+        if let Some(v) = value.filter(|&v| !is_unfairness(v)) {
+            return Err(CellError::OutOfRange(v));
+        }
+        self.data[(gi * self.n_queries + qi) * self.n_locations + li] = value;
+        Ok(())
     }
 
     /// Reads `d⟨g,q,l⟩`, `None` if missing.
@@ -195,6 +242,22 @@ mod tests {
         // Neighbours untouched.
         assert_eq!(c.get(GroupId(1), QueryId(2), LocationId(2)), None);
         assert_eq!(c.get(GroupId(0), QueryId(2), LocationId(3)), None);
+    }
+
+    #[test]
+    fn try_set_rejects_without_writing() {
+        let mut c = UnfairnessCube::with_dims(2, 3, 4);
+        let (g, q, l) = (GroupId(1), QueryId(2), LocationId(3));
+        assert_eq!(c.try_set(g, q, l, Some(0.5)), Ok(()));
+        assert_eq!(c.try_set(g, q, l, Some(2.0)), Err(CellError::OutOfRange(2.0)));
+        assert!(matches!(c.try_set(g, q, l, Some(f64::NAN)), Err(CellError::OutOfRange(_))));
+        assert_eq!(
+            c.try_set(GroupId(2), q, l, None),
+            Err(CellError::OutOfBounds { g: GroupId(2), q, l })
+        );
+        assert_eq!(c.get(g, q, l), Some(0.5));
+        assert_eq!(c.try_set(g, q, l, None), Ok(()));
+        assert_eq!(c.get(g, q, l), None);
     }
 
     #[test]

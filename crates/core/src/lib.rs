@@ -82,7 +82,7 @@ pub mod observations;
 pub mod paper_toy;
 pub mod unfairness;
 
-pub use cube::UnfairnessCube;
+pub use cube::{CellError, UnfairnessCube};
 pub use fbox::FBox;
 pub use index::{Dimension, IndexSet};
 pub use model::{GroupId, GroupLabel, LocationId, QueryId, Schema, Universe};

@@ -8,24 +8,42 @@
 //! Within the F-Box, unfairness must grow when lists diverge, so the
 //! drivers use [`distance`] (= 1 − index). Both directions are exposed.
 //!
-//! Sets are `BTreeSet`s (`T: Ord`), keeping every walk over them in a
-//! deterministic order — this module sits inside the cube-build cone
-//! checked by the `det-hash-iter` lint.
+//! The index is an integer count over dense ids (`measures::dense`). The
+//! generic [`index`] interns through a `BTreeMap` (`T: Ord`, no `Hash`
+//! bound); no code here walks a hash map, which keeps this module clean
+//! inside the cube-build cone checked by the `det-hash-iter` lint.
 
-use std::collections::BTreeSet;
+use super::dense::{DenseLists, Row, ABSENT};
 
 /// Jaccard index `|A ∩ B| / |A ∪ B|` of the *sets* of items in the two
 /// lists (duplicates are collapsed). Two empty lists have index 1
 /// (identical) by convention.
 pub fn index<T: Ord>(a: &[T], b: &[T]) -> f64 {
-    let sa: BTreeSet<&T> = a.iter().collect();
-    let sb: BTreeSet<&T> = b.iter().collect();
-    if sa.is_empty() && sb.is_empty() {
+    let lists = DenseLists::ordered([a, b]);
+    index_dense(lists.row(0), lists.row(1))
+}
+
+/// [`index`] of two lists over one dense item space: the first
+/// occurrences in `a` split into items `b` holds (`|A ∩ B|`) and items it
+/// lacks (`|A ∖ B|`, so `|A ∪ B| = |B| + |A ∖ B|`). O(|a|).
+#[must_use]
+pub(crate) fn index_dense(a: Row<'_>, b: Row<'_>) -> f64 {
+    if a.distinct == 0 && b.distinct == 0 {
         return 1.0;
     }
-    let inter = sa.intersection(&sb).count();
-    let union = sa.union(&sb).count();
-    inter as f64 / union as f64
+    let (mut inter, mut a_only) = (0u32, 0u32);
+    for (pos, &x) in (0u32..).zip(a.items) {
+        if a.rank[x as usize] != pos {
+            continue; // a repeat: sets collapse duplicates
+        }
+        if b.rank[x as usize] == ABSENT {
+            a_only += 1;
+        } else {
+            inter += 1;
+        }
+    }
+    let union = u64::from(b.distinct) + u64::from(a_only);
+    f64::from(inter) / union as f64
 }
 
 /// Jaccard distance `1 − index(a, b)` ∈ `[0, 1]`; 0 for identical sets,

@@ -12,7 +12,19 @@
 //! - [`tau_b`]: the tie-aware Tau-b correlation between two score vectors;
 //! - [`top_k_distance`]: Fagin–Kumar–Sivakumar's `K^(p)` distance between
 //!   two top-k lists with penalty parameter `p` for pairs whose relative
-//!   order is unknowable, normalized to `[0, 1]`.
+//!   order is unknowable, normalized to `[0, 1]`. A search cell interns
+//!   all of its participants' lists to dense ids once and calls the same
+//!   kernel on them (`top_k_distance_dense`).
+//!
+//! `K^(p)` is computed from integer case counts, not by walking the
+//! O(|A ∪ B|²) item pairs: `ones` pairs of penalty 1 and `halves` pairs of
+//! penalty `p`, found in O(|A| + |B|) passes plus an O(s²) inversion count
+//! over the `s` shared items. The penalty is then `ones + p · halves`,
+//! rounded once. When `2p` is an integer (`p ∈ {0, ½, 1}`, the default
+//! `½` included) this is bit-identical to summing the per-pair penalties
+//! one by one, as earlier versions did: every partial sum is a multiple
+//! of ½ far below 2⁵³, so each addition was exact. Any other `p` may move
+//! by an ulp, since the old running sum rounded at every `p` term.
 //!
 //! All distances are 0 for identical inputs and grow toward 1 as the lists
 //! diverge — i.e. *higher = more unfair* under Eq. 1.
@@ -20,6 +32,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
+use super::dense::{DenseLists, Row, ABSENT};
 use super::float::approx_zero;
 
 /// Classic normalized Kendall Tau distance between two rankings of the same
@@ -185,32 +198,44 @@ fn tied_pairs(v: &[f64]) -> i64 {
 /// same lengths (the maximum for `p ≤ 1`), giving 0 for identical lists
 /// and 1 for disjoint ones.
 ///
+/// Interns both lists to dense ids and runs `top_k_distance_dense`.
+///
 /// # Panics
 ///
 /// Panics if `p` is outside `[0, 1]` or a list contains duplicates.
-pub fn top_k_distance<T: Eq + Hash + Clone>(a: &[T], b: &[T], p: f64) -> f64 {
+pub fn top_k_distance<T: Eq + Hash>(a: &[T], b: &[T], p: f64) -> f64 {
     assert!((0.0..=1.0).contains(&p), "penalty p must be in [0, 1]");
-    if a.is_empty() && b.is_empty() {
+    let lists = DenseLists::hashed([a, b]);
+    top_k_distance_dense(lists.row(0), lists.row(1), p, &mut Vec::new())
+}
+
+/// [`top_k_distance`] of two lists over one dense item space, by case
+/// counts instead of a walk over item pairs:
+///
+/// - case 1: inversions among the `s` shared items, their ranks in `b`
+///   read in `a`'s order (collected in `shared`, a reusable buffer);
+/// - case 2: per shared item, the one-list-only items ranked ahead of it,
+///   summed over both lists;
+/// - case 3: `|A∖B| · |B∖A|`;
+/// - case 4: `C(|A∖B|, 2) + C(|B∖A|, 2)`, each worth `p`.
+///
+/// O(|a| + |b| + s²). The counts are integers, so the result is bitwise
+/// symmetric in `a` and `b`.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 1]` or a list contains duplicates.
+pub(crate) fn top_k_distance_dense(a: Row<'_>, b: Row<'_>, p: f64, shared: &mut Vec<u32>) -> f64 {
+    assert!((0.0..=1.0).contains(&p), "penalty p must be in [0, 1]");
+    assert!(!a.duplicated, "top_k_distance: duplicate item in first list");
+    assert!(!b.duplicated, "top_k_distance: duplicate item in second list");
+    let (ka, kb) = (a.items.len(), b.items.len());
+    if ka == 0 && kb == 0 {
         return 0.0;
     }
-    let pos_a: HashMap<&T, usize> = a.iter().enumerate().map(|(i, x)| (x, i)).collect();
-    let pos_b: HashMap<&T, usize> = b.iter().enumerate().map(|(i, x)| (x, i)).collect();
-    assert_eq!(pos_a.len(), a.len(), "top_k_distance: duplicate item in first list");
-    assert_eq!(pos_b.len(), b.len(), "top_k_distance: duplicate item in second list");
-
-    // Union of items, deduplicated.
-    let mut universe: Vec<&T> = a.iter().collect();
-    universe.extend(b.iter().filter(|x| !pos_a.contains_key(*x)));
-
-    let mut penalty = 0.0f64;
-    for i in 0..universe.len() {
-        for j in (i + 1)..universe.len() {
-            let (x, y) = (universe[i], universe[j]);
-            penalty += pair_penalty(pos_a.get(x), pos_b.get(x), pos_a.get(y), pos_b.get(y), p);
-        }
-    }
-
-    let max = max_penalty(a.len(), b.len(), p);
+    let (ones, halves) = case_counts(a, b, shared);
+    let penalty = ones as f64 + p * halves as f64;
+    let max = max_penalty(ka, kb, p);
     if approx_zero(max) {
         0.0
     } else {
@@ -218,60 +243,48 @@ pub fn top_k_distance<T: Eq + Hash + Clone>(a: &[T], b: &[T], p: f64) -> f64 {
     }
 }
 
-fn pair_penalty(
-    xa: Option<&usize>,
-    xb: Option<&usize>,
-    ya: Option<&usize>,
-    yb: Option<&usize>,
-    p: f64,
-) -> f64 {
-    match (xa, xb, ya, yb) {
-        // Case 1: both items in both lists.
-        (Some(&xa), Some(&xb), Some(&ya), Some(&yb)) => {
-            if (xa < ya) == (xb < yb) {
-                0.0
-            } else {
-                1.0
+/// `(ones, halves)`: the pairs of penalty 1 (cases 1–3) and of penalty `p`
+/// (case 4) between two duplicate-free lists. Each count is at most the
+/// `C(|a| + |b|, 2) < 2⁶³` pairs of the union, as both lists are within
+/// [`MAX_LIST_LEN`](super::dense::MAX_LIST_LEN); the one-list-only
+/// counts fit `u32`, which bounds the case-3 and case-4 products.
+fn case_counts(a: Row<'_>, b: Row<'_>, shared: &mut Vec<u32>) -> (u64, u64) {
+    shared.clear();
+    let mut ones = 0u64;
+    // Case 2 in `a`: every a-only item ahead of a shared one.
+    let mut a_only = 0u32;
+    for &x in a.items {
+        match b.rank[x as usize] {
+            ABSENT => a_only += 1,
+            rank_in_b => {
+                ones += u64::from(a_only);
+                shared.push(rank_in_b);
             }
         }
-        // Case 2: both in list A; exactly one (x) also in B → B implies
-        // x ahead of y; disagreement iff A ranks y ahead of x.
-        (Some(&xa), Some(_), Some(&ya), None) => {
-            if ya < xa {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        (Some(&xa), None, Some(&ya), Some(_)) => {
-            if xa < ya {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        // Mirror of case 2 for list B.
-        (Some(_), Some(&xb), None, Some(&yb)) => {
-            if yb < xb {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        (None, Some(&xb), Some(_), Some(&yb)) => {
-            if xb < yb {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        // Case 3: one item exclusive to each list — necessarily discordant.
-        (Some(_), None, None, Some(_)) | (None, Some(_), Some(_), None) => 1.0,
-        // Case 4: both items exclusive to the same list.
-        (Some(_), None, Some(_), None) | (None, Some(_), None, Some(_)) => p,
-        // A pair drawn from the union always has each item in ≥ 1 list.
-        _ => unreachable!("item in neither list cannot appear in the union"),
     }
+    // Case 2 in `b`.
+    let mut b_only = 0u32;
+    for &y in b.items {
+        if a.rank[y as usize] == ABSENT {
+            b_only += 1;
+        } else {
+            ones += u64::from(b_only);
+        }
+    }
+    // Case 1: shared pairs `b` orders against `a`.
+    for (i, &r) in shared.iter().enumerate() {
+        ones += shared[i + 1..].iter().filter(|&&later| later < r).count() as u64;
+    }
+    // Case 3.
+    ones += u64::from(a_only) * u64::from(b_only);
+    // Case 4.
+    let halves = pairs(a_only) + pairs(b_only);
+    (ones, halves)
+}
+
+/// `C(k, 2)`.
+fn pairs(k: u32) -> u64 {
+    u64::from(k) * u64::from(k.saturating_sub(1)) / 2
 }
 
 /// `K^(p)` of two fully disjoint lists of lengths `ka` and `kb` — the

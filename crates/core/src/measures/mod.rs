@@ -1,6 +1,7 @@
 //! Distance and exposure measures used by the unfairness definitions
 //! (paper §3.2–3.3).
 
+pub(crate) mod dense;
 pub mod emd;
 pub mod exposure;
 pub mod float;

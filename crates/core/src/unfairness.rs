@@ -6,6 +6,7 @@
 //! group lacks data yield `None` — unfairness against nobody is undefined,
 //! and the aggregation layer treats such cells as missing.
 
+use crate::measures::dense::{DenseLists, Row};
 use crate::measures::{self, exposure_unfairness, BinConfig, DiscountModel, Histogram};
 use crate::model::{GroupId, Universe};
 use crate::observations::{MarketRanking, UserList};
@@ -32,15 +33,22 @@ impl SearchMeasure {
 
     /// Distance between two users' result lists.
     pub fn distance(&self, a: &[u64], b: &[u64]) -> f64 {
+        let lists = DenseLists::hashed([a, b]);
+        self.dense_distance(lists.row(0), lists.row(1), &mut Vec::new())
+    }
+
+    /// [`distance`](Self::distance) between two lists of one
+    /// [`DenseLists`]; `shared` is a scratch buffer.
+    pub(crate) fn dense_distance(&self, a: Row<'_>, b: Row<'_>, shared: &mut Vec<u32>) -> f64 {
         match *self {
             SearchMeasure::KendallTopK { penalty } => {
                 assert!(
                     penalty.is_finite() && (0.0..=1.0).contains(&penalty),
                     "kendall penalty {penalty} out of [0,1]"
                 );
-                measures::kendall::top_k_distance(a, b, penalty)
+                measures::kendall::top_k_distance_dense(a, b, penalty, shared)
             }
-            SearchMeasure::JaccardDistance => measures::jaccard::distance(a, b),
+            SearchMeasure::JaccardDistance => 1.0 - measures::jaccard::index_dense(a, b),
         }
     }
 
@@ -282,30 +290,39 @@ impl<'u> MeasureContext<'u> {
 ///
 /// - group membership of each user list is decided once per `(group,
 ///   list)` instead of once per `(group, comparable, list)`;
-/// - pairwise list distances are memoized per **ordered** `(u, u')` index
-///   pair. Overlapping groups (every user is in a gender, an ethnicity,
-///   and a full lattice group) request many ordered pairs repeatedly; the
-///   ordered key keeps each cached value the exact `f64` the reference
-///   computes, without assuming the distance is bitwise symmetric
-///   (Kendall's `K^(p)` sums penalties in union order, which swaps with
-///   its arguments).
+/// - every result id of the cell is interned once to a dense id and each
+///   list gets a rank row over those ids (`measures::dense`), so a list
+///   distance is a few array passes with no hashing;
+/// - pairwise list distances are memoized in a dense `n × n` table.
+///   Overlapping groups (every user is in a gender, an ethnicity, and a
+///   full lattice group) request many pairs repeatedly. Both list
+///   distances are computed from integer counts that do not depend on
+///   argument order, so one kernel call fills both `(u, u')` and
+///   `(u', u)`.
 ///
-/// Equivalence contract, enforced by tests and the parallel-determinism
+/// Each group's sums run in the reference's order, so the equivalence
+/// contract holds, enforced by tests and the parallel-determinism
 /// property suite: `eval.group(g)` is bit-for-bit identical to
 /// [`search_cell_unfairness`]`(universe, lists, g, measure)`.
 #[derive(Debug)]
 pub struct SearchCellEval<'a, 'u> {
     ctx: &'a MeasureContext<'u>,
-    lists: &'a [UserList],
     measure: SearchMeasure,
-    /// Per group: indices into `lists` of its members, in list order.
+    /// Per group: indices into the cell's lists of its members, in list
+    /// order.
     members: Vec<Vec<u32>>,
-    /// Memoized `measure.distance(lists[i], lists[j])` keyed by `(i, j)`.
-    distances: std::collections::HashMap<(u32, u32), f64>,
+    /// The cell's result lists over dense item ids.
+    dense: DenseLists,
+    /// `distances[i * n + j]`: the memoized distance between lists `i`
+    /// and `j`, NaN until computed.
+    distances: Vec<f64>,
+    /// Scratch buffer of the Kendall kernel.
+    shared: Vec<u32>,
 }
 
 impl<'a, 'u> SearchCellEval<'a, 'u> {
-    /// Prepares the evaluator: one membership pass per group.
+    /// Prepares the evaluator: one membership pass per group and one
+    /// interning pass over the cell's results.
     pub fn new(ctx: &'a MeasureContext<'u>, lists: &'a [UserList], measure: SearchMeasure) -> Self {
         let members = ctx
             .universe
@@ -319,16 +336,19 @@ impl<'a, 'u> SearchCellEval<'a, 'u> {
                     .collect()
             })
             .collect();
-        Self { ctx, lists, measure, members, distances: std::collections::HashMap::new() }
+        let dense = DenseLists::hashed(lists.iter().map(|u| u.results.as_slice()));
+        let n = lists.len();
+        Self { ctx, measure, members, dense, distances: vec![f64::NAN; n * n], shared: Vec::new() }
     }
 
     /// `d⟨g,q,l⟩` for this cell — bit-identical to the reference.
     pub fn group(&mut self, g: GroupId) -> Option<f64> {
-        let Self { ctx, lists, measure, members, distances } = self;
+        let Self { ctx, measure, members, dense, distances, shared } = self;
         let g_members = &members[g.0 as usize];
         if g_members.is_empty() {
             return None;
         }
+        let n = dense.len();
         let mut per_group = Vec::new();
         for &g_cmp in ctx.comparables(g) {
             let others = &members[g_cmp.0 as usize];
@@ -336,20 +356,24 @@ impl<'a, 'u> SearchCellEval<'a, 'u> {
                 continue;
             }
             let mut sum = 0.0;
-            let mut n = 0usize;
+            let mut count = 0usize;
             for &ui in g_members {
                 for &vi in others {
-                    let d = *distances.entry((ui, vi)).or_insert_with(|| {
-                        measure.distance(&lists[ui as usize].results, &lists[vi as usize].results)
-                    });
+                    let (ui, vi) = (ui as usize, vi as usize);
+                    let mut d = distances[ui * n + vi];
+                    if d.is_nan() {
+                        d = measure.dense_distance(dense.row(ui), dense.row(vi), shared);
+                        distances[ui * n + vi] = d;
+                        distances[vi * n + ui] = d;
+                    }
                     sum += d;
-                    n += 1;
+                    count += 1;
                 }
             }
-            if n == 0 {
+            if count == 0 {
                 continue; // no member pairs: skip rather than average a NaN
             }
-            per_group.push(sum / n as f64);
+            per_group.push(sum / count as f64);
         }
         average(&per_group)
     }

@@ -1,19 +1,26 @@
 //! Property tests pitting `measures/kendall.rs`'s fast paths against
 //! naïve O(n²) pairwise oracles.
 //!
-//! The production code earns its speed with two shortcuts — merge-sort
-//! inversion counting behind [`tau_distance`] and the case-analysis
-//! `pair_penalty` behind [`top_k_distance`] (including the case-4
-//! within-one-list term) — while [`tau_b`] leans on `total_cmp` for its
-//! tie handling. Each oracle below re-derives the same statistic straight
+//! The production code earns its speed with shortcuts — merge-sort
+//! inversion counting behind [`tau_distance`], and the dense-id case
+//! counts behind [`top_k_distance`] (inversions among shared items,
+//! one-list-only items ahead of shared ones, and the closed-form case-3
+//! and case-4 terms) — while [`tau_b`] leans on `total_cmp` for its tie
+//! handling. Each oracle below re-derives the same statistic straight
 //! from its textbook definition, one explicit pair at a time, so any
-//! disagreement is a bug in the shortcut, not in the spec.
+//! disagreement is a bug in the shortcut, not in the spec. The Jaccard
+//! index, which shares the dense encoding, is checked against `BTreeSet`
+//! set algebra the same way.
 
+use fbox_core::measures::jaccard;
 use fbox_core::measures::kendall::{tau_b, tau_distance, top_k_distance};
+use fbox_core::model::{Schema, Universe, ValueId};
+use fbox_core::observations::UserList;
+use fbox_core::unfairness::{MeasureContext, SearchCellEval, SearchMeasure};
 use proptest::prelude::*;
 use proptest::sample::subsequence;
 use proptest::Just;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Oracle for [`tau_distance`]: count discordant pairs by brute force.
 fn naive_tau_distance(a: &[u32], b: &[u32]) -> f64 {
@@ -178,4 +185,81 @@ proptest! {
         let naive = naive_top_k_distance(&a, &b, p);
         prop_assert!((fast - naive).abs() < 1e-12, "fast {fast} vs oracle {naive} at p={p}");
     }
+
+    #[test]
+    fn top_k_distance_is_bit_exact_when_2p_is_an_integer(
+        a in subsequence((0u32..25).collect::<Vec<u32>>(), 0..12).prop_shuffle(),
+        b in subsequence((0u32..25).collect::<Vec<u32>>(), 0..12).prop_shuffle(),
+    ) {
+        // At p ∈ {0, ½, 1} every partial sum of the oracle's pair walk is
+        // a multiple of ½, so it is exact and so is `ones + p · halves`.
+        for p in [0.0, 0.5, 1.0] {
+            let fast = top_k_distance(&a, &b, p);
+            let naive = naive_top_k_distance(&a, &b, p);
+            prop_assert_eq!(fast.to_bits(), naive.to_bits(), "fast {} vs oracle {} at p={}", fast, naive, p);
+        }
+    }
+
+    #[test]
+    fn top_k_distance_is_bitwise_symmetric(
+        a in subsequence((0u32..25).collect::<Vec<u32>>(), 0..12).prop_shuffle(),
+        b in subsequence((0u32..25).collect::<Vec<u32>>(), 0..12).prop_shuffle(),
+        p_millis in 0u32..=1000,
+    ) {
+        // The search-cell memo fills (u, u') and (u', u) from one call.
+        let p = f64::from(p_millis) / 1000.0;
+        let ab = top_k_distance(&a, &b, p);
+        let ba = top_k_distance(&b, &a, p);
+        prop_assert_eq!(ab.to_bits(), ba.to_bits(), "d(a,b) {} vs d(b,a) {} at p={}", ab, ba, p);
+    }
+
+    #[test]
+    fn jaccard_matches_set_algebra_with_duplicates(
+        a in proptest::collection::vec(0u32..15, 0..12),
+        b in proptest::collection::vec(0u32..15, 0..12),
+    ) {
+        // A 15-item domain with lists up to 12 long: repeated items in
+        // one list and overlap between the two are both routine.
+        let (sa, sb): (BTreeSet<u32>, BTreeSet<u32>) =
+            (a.iter().copied().collect(), b.iter().copied().collect());
+        let oracle = if sa.is_empty() && sb.is_empty() {
+            1.0
+        } else {
+            sa.intersection(&sb).count() as f64 / sa.union(&sb).count() as f64
+        };
+        let fast = jaccard::index(&a, &b);
+        prop_assert_eq!(fast.to_bits(), oracle.to_bits(), "fast {} vs oracle {}", fast, oracle);
+        prop_assert_eq!(jaccard::index(&b, &a).to_bits(), fast.to_bits());
+    }
+}
+
+/// One male and one female participant with the given result lists.
+fn two_user_cell(male: Vec<u64>, female: Vec<u64>) -> (Universe, Vec<UserList>) {
+    let universe = Universe::with_all_groups(Schema::gender_ethnicity());
+    let lists = vec![
+        UserList { assignment: vec![ValueId(0), ValueId(0)], results: male },
+        UserList { assignment: vec![ValueId(1), ValueId(0)], results: female },
+    ];
+    (universe, lists)
+}
+
+#[test]
+#[should_panic(expected = "duplicate item")]
+fn cell_evaluator_rejects_duplicate_items_under_kendall() {
+    let (universe, lists) = two_user_cell(vec![1, 2, 1], vec![1, 2, 3]);
+    let ctx = MeasureContext::new(&universe);
+    let mut eval = SearchCellEval::new(&ctx, &lists, SearchMeasure::kendall());
+    let male = universe.group_id_by_text("gender=Male").expect("gender group");
+    let _ = eval.group(male);
+}
+
+#[test]
+fn cell_evaluator_collapses_duplicate_items_under_jaccard() {
+    let (universe, lists) = two_user_cell(vec![1, 2, 1], vec![1, 2, 3]);
+    let ctx = MeasureContext::new(&universe);
+    let mut eval = SearchCellEval::new(&ctx, &lists, SearchMeasure::JaccardDistance);
+    let male = universe.group_id_by_text("gender=Male").expect("gender group");
+    // {1, 2} vs {1, 2, 3}: index 2/3.
+    let d = eval.group(male).expect("both genders are present");
+    assert_eq!(d.to_bits(), (1.0 - 2.0 / 3.0f64).to_bits());
 }

@@ -312,7 +312,8 @@ fn decode_cube(r: &mut Reader<'_>, universe: &Universe) -> Result<UnfairnessCube
     for g in 0..ng as u32 {
         for q in 0..nq as u32 {
             for l in 0..nl as u32 {
-                cube.set_opt(GroupId(g), QueryId(q), LocationId(l), r.opt_f64()?);
+                cube.try_set(GroupId(g), QueryId(q), LocationId(l), r.opt_f64()?)
+                    .map_err(|_| CodecError::Invalid("cube cell outside [0, 1]"))?;
             }
         }
     }
@@ -407,6 +408,26 @@ mod tests {
         assert!(matches!(
             CubeSnapshot::from_bytes(&bad_version),
             Err(CodecError::Invalid("unsupported snapshot version"))
+        ));
+    }
+
+    #[test]
+    fn out_of_range_cell_is_a_codec_error() {
+        // A checksum-valid snapshot whose 0.25 cell was rewritten to 2.0
+        // used to panic inside the cube setter.
+        let mut bytes = snapshot().to_bytes();
+        let body_end = bytes.len() - 8;
+        let cell = bytes[8..body_end]
+            .windows(8)
+            .position(|w| w == 0.25f64.to_le_bytes())
+            .expect("the 0.25 cell is in the body")
+            + 8;
+        bytes[cell..cell + 8].copy_from_slice(&2.0f64.to_le_bytes());
+        let checksum = fnv1a(&bytes[8..body_end]);
+        bytes[body_end..].copy_from_slice(&checksum.to_le_bytes());
+        assert!(matches!(
+            CubeSnapshot::from_bytes(&bytes),
+            Err(CodecError::Invalid("cube cell outside [0, 1]"))
         ));
     }
 
