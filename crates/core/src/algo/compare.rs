@@ -129,8 +129,8 @@ pub fn compare(
 ///
 /// # Panics
 ///
-/// Panics if either set is empty, the sets intersect, or the breakdown
-/// dimension equals the comparison dimension.
+/// Panics if either set is empty, the sets intersect, an id is out of
+/// range, or the breakdown dimension equals the comparison dimension.
 pub fn compare_sets(
     indices: &IndexSet,
     cmp_dim: Dimension,
@@ -143,6 +143,9 @@ pub fn compare_sets(
     assert!(!set1.is_empty() && !set2.is_empty(), "comparison sets must be non-empty");
     assert!(set1.iter().all(|e| !set2.contains(e)), "comparison sets must be disjoint");
     assert_ne!(breakdown, cmp_dim, "breakdown dimension must differ from the comparison dimension");
+    let in_range = |dim, ids: &[u32]| ids.iter().all(|&id| (id as usize) < indices.dim_len(dim));
+    assert!(in_range(cmp_dim, set1) && in_range(cmp_dim, set2), "comparison id out of range");
+    assert!(in_range(breakdown, breakdown_subset.unwrap_or(&[])), "breakdown id out of range");
     let _span = fbox_telemetry::span!("algo.compare");
     let mut cells_read = 0u64;
 
@@ -512,6 +515,37 @@ mod tests {
             Entity::Group(GroupId(1)),
             Dimension::Group,
             None,
+            &Restriction::none(),
+        );
+    }
+
+    /// Random access computes one cube offset without per-dimension
+    /// checks, so location 3 of a 3-location cube would silently read
+    /// the next group's location 0; the ids are rejected up front instead.
+    #[test]
+    #[should_panic(expected = "comparison id out of range")]
+    fn out_of_range_comparison_id_rejected() {
+        let idx = table4_like();
+        compare(
+            &idx,
+            Entity::Location(LocationId(0)),
+            Entity::Location(LocationId(3)),
+            Dimension::Group,
+            None,
+            &Restriction::none(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "breakdown id out of range")]
+    fn out_of_range_breakdown_id_rejected() {
+        let idx = table4_like();
+        compare(
+            &idx,
+            Entity::Group(GroupId(0)),
+            Entity::Group(GroupId(1)),
+            Dimension::Location,
+            Some(&[0, 3]),
             &Restriction::none(),
         );
     }

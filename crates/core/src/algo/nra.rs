@@ -200,8 +200,7 @@ pub fn nra_top_k(
                                 for (li, &pair) in pairs.iter().enumerate() {
                                     if !p.seen[li] {
                                         let v = indices
-                                            .list_for(dim, pair)
-                                            .random_access(e)
+                                            .random_access(dim, pair, e)
                                             .expect("complete index");
                                         stats.random_accesses += 1;
                                         stats.cells_scanned += 1;
@@ -418,7 +417,7 @@ fn nra_top_k_partial(
                                 }
                                 stats.random_accesses += 1;
                                 stats.cells_scanned += 1;
-                                if let Some(v) = indices.list_for(dim, pair).random_access(e) {
+                                if let Some(v) = indices.random_access(dim, pair, e) {
                                     sum += sign * v;
                                     present += 1;
                                 }

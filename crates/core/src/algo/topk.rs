@@ -174,8 +174,7 @@ pub fn top_k(
                     continue;
                 }
                 let val = indices
-                    .list_for(dim, other)
-                    .random_access(e)
+                    .random_access(dim, other, e)
                     .expect("complete index has every entity in every list");
                 stats.random_accesses += 1;
                 stats.cells_scanned += 1;
@@ -324,7 +323,7 @@ fn top_k_partial(
                 }
                 stats.random_accesses += 1;
                 stats.cells_scanned += 1;
-                if let Some(val) = indices.list_for(dim, other).random_access(e) {
+                if let Some(val) = indices.random_access(dim, other, e) {
                     sum += val;
                     present += 1;
                 }

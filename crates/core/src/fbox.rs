@@ -1,8 +1,9 @@
 //! The F-Box: the end-to-end pipeline of the paper's Figure 6/9 —
 //! observations in, unfairness answers out.
 //!
-//! An [`FBox`] owns a [`Universe`], the [`UnfairnessCube`] computed from a
-//! platform's observations, and the three pre-built index families, and
+//! An [`FBox`] owns a [`Universe`] and an [`IndexSet`]: the
+//! [`UnfairnessCube`] computed from a platform's observations together
+//! with the three index families pre-built over it, and
 //! exposes the two problems of §4: [quantification](FBox::top_k) and
 //! [comparison](FBox::compare).
 
@@ -20,7 +21,6 @@ use crate::unfairness::{
 #[derive(Debug, Clone)]
 pub struct FBox {
     universe: Universe,
-    cube: UnfairnessCube,
     indices: IndexSet,
 }
 
@@ -148,7 +148,8 @@ impl FBox {
     }
 
     /// Builds the F-Box from a pre-computed cube (e.g. deserialized from a
-    /// previous run, or produced by a custom measure).
+    /// previous run, or produced by a custom measure). The cube moves into
+    /// the index, uncopied.
     ///
     /// # Panics
     ///
@@ -161,8 +162,7 @@ impl FBox {
             universe.n_locations(),
             "cube/universe location count mismatch"
         );
-        let indices = IndexSet::build(&cube);
-        Self { universe, cube, indices }
+        Self { universe, indices: IndexSet::from_cube(cube) }
     }
 
     /// An F-Box over an empty cube: the starting point of incremental
@@ -193,11 +193,10 @@ impl FBox {
         measure: MarketMeasure,
     ) {
         let _cell = cell_span(q, l, "market", measure.label());
-        for g in self.universe.group_ids() {
-            let v = ranking.and_then(|r| market_cell_unfairness(&self.universe, r, g, measure));
-            self.cube.set_opt(g, q, l, v);
-        }
-        self.indices.update_cell(&self.cube, q, l);
+        let universe = &self.universe;
+        self.indices.update_cell(q, l, |g| {
+            ranking.and_then(|r| market_cell_unfairness(universe, r, g, measure))
+        });
     }
 
     /// Re-derives cell `(q, l)` from search-engine user lists (an empty
@@ -212,15 +211,14 @@ impl FBox {
         measure: SearchMeasure,
     ) {
         let _cell = cell_span(q, l, "search", measure.label());
-        for g in self.universe.group_ids() {
-            let v = if lists.is_empty() {
+        let universe = &self.universe;
+        self.indices.update_cell(q, l, |g| {
+            if lists.is_empty() {
                 None
             } else {
-                search_cell_unfairness(&self.universe, lists, g, measure)
-            };
-            self.cube.set_opt(g, q, l, v);
-        }
-        self.indices.update_cell(&self.cube, q, l);
+                search_cell_unfairness(universe, lists, g, measure)
+            }
+        });
     }
 
     /// The study universe.
@@ -228,9 +226,9 @@ impl FBox {
         &self.universe
     }
 
-    /// The unfairness cube.
+    /// The unfairness cube (owned by the indices).
     pub fn cube(&self) -> &UnfairnessCube {
-        &self.cube
+        self.indices.cube()
     }
 
     /// The pre-built indices.
@@ -240,7 +238,7 @@ impl FBox {
 
     /// One cell: `d⟨g,q,l⟩`.
     pub fn unfairness(&self, g: GroupId, q: QueryId, l: LocationId) -> Option<f64> {
-        self.cube.get(g, q, l)
+        self.cube().get(g, q, l)
     }
 
     /// Problem 1 over any dimension. Uses the threshold algorithm when the
@@ -257,10 +255,10 @@ impl FBox {
         restrict: &Restriction,
     ) -> TopKResult {
         let _span = fbox_telemetry::span!("fbox.top_k");
-        if self.cube.is_complete() {
+        if self.indices.is_complete() {
             algo::top_k(&self.indices, dim, k, order, restrict)
         } else {
-            algo::naive_top_k(&self.cube, dim, k, order, restrict)
+            algo::naive_top_k(self.cube(), dim, k, order, restrict)
         }
     }
 
@@ -476,18 +474,38 @@ mod tests {
 
     #[test]
     fn top_k_falls_back_to_naive_on_incomplete() {
-        // The toy cube is complete over 1 query × 1 location × 11 groups
-        // (every group has members or comparables)… verify, then poke a
-        // hole via from_cube to exercise the fallback.
-        let fb = toy_fbox();
-        let groups = fb.top_k_groups(3, RankOrder::MostUnfair, &Restriction::none());
-        assert_eq!(groups.len(), 3);
+        // The plan shows in the stats: TA makes sorted accesses, the naive
+        // scan only random ones.
+        let sorted_accesses = |fb: &FBox| {
+            let r = fb.top_k(Dimension::Group, 3, RankOrder::MostUnfair, &Restriction::none());
+            assert_eq!(r.entries.len(), 3);
+            r.stats.sorted_accesses
+        };
+        let (mut universe, ranking) = paper_toy::table3_ranking();
+        let q0 = universe.add_query("Home Cleaning", Some("General Cleaning"));
+        let q1 = universe.add_query("Yard Work", Some("General Cleaning"));
+        let l = universe.add_location("San Francisco, CA", Some("West Coast"));
+        let mut obs = MarketObservations::new();
+        obs.insert(q0, l, ranking.clone());
+        obs.insert(q1, l, ranking);
+        let measure = MarketMeasure::exposure();
+        let mut fb = FBox::from_market(universe, &obs, measure);
+        assert!(fb.cube().is_complete());
+        assert!(sorted_accesses(&fb) > 0);
 
+        // A hole poked through `from_cube`...
         let mut cube = fb.cube().clone();
-        cube.set_opt(GroupId(0), QueryId(0), LocationId(0), None);
-        let fb2 = FBox::from_cube(fb.universe().clone(), cube);
-        let groups2 = fb2.top_k_groups(3, RankOrder::MostUnfair, &Restriction::none());
-        assert_eq!(groups2.len(), 3);
+        cube.set_opt(GroupId(0), q0, l, None);
+        let holed = FBox::from_cube(fb.universe().clone(), cube);
+        assert_eq!(sorted_accesses(&holed), 0);
+
+        // ...and one cleared, then refilled, incrementally.
+        fb.update_market_cell(q1, l, None, measure);
+        assert!(!fb.indices().is_complete());
+        assert_eq!(sorted_accesses(&fb), 0);
+        fb.update_market_cell(q1, l, obs.get(q1, l), measure);
+        assert!(fb.indices().is_complete());
+        assert!(sorted_accesses(&fb) > 0);
     }
 
     #[test]

@@ -33,17 +33,17 @@ impl Dimension {
     }
 }
 
-/// All three index families over one unfairness cube.
+/// All three index families over one unfairness cube, and the cube itself.
 ///
 /// For each pair of the *other* two dimensions there is one
 /// [`PostingList`] ranking the indexed dimension's entities by descending
-/// unfairness. Building is O(cells · log) once; every subsequent top-k
-/// query runs Fagin-style on the pre-sorted lists.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// unfairness: the sorted access. Random access reads the cube, which the
+/// set owns, so every cell value is stored once. Building is
+/// O(cells · log) once; every subsequent top-k query runs Fagin-style on
+/// the pre-sorted lists.
+#[derive(Debug, Clone)]
 pub struct IndexSet {
-    n_groups: usize,
-    n_queries: usize,
-    n_locations: usize,
+    cube: UnfairnessCube,
     /// `I(q,l)` — groups ranked; indexed by `q * n_locations + l`.
     group_lists: Vec<PostingList>,
     /// `I(g,l)` — queries ranked; indexed by `g * n_locations + l`.
@@ -53,7 +53,6 @@ pub struct IndexSet {
     /// Present `(g,q,l)` values, maintained incrementally by
     /// [`Self::update_cell`] so completeness stays O(1).
     n_present: usize,
-    complete: bool,
 }
 
 /// Pairs `(a, b)` with `a < na`, `b < nb`, in `a`-major order — the slot
@@ -75,10 +74,10 @@ fn pair_grid(na: usize, nb: usize) -> Vec<(u32, u32)> {
 /// Builds one posting-list family: the lists are chunked across
 /// [`fbox_par`] workers and re-flattened in slot order, so the family is
 /// identical to the serial build at any thread count.
-fn build_family(
+fn build_family<I: IntoIterator<Item = Option<f64>>>(
     family: &'static str,
     pairs: &[(u32, u32)],
-    values_for: impl Fn(u32, u32) -> Vec<Option<f64>> + Sync,
+    values_for: impl Fn(u32, u32) -> I + Sync,
 ) -> Vec<PostingList> {
     let _trace = fbox_trace::span_args("index.family", |a| {
         a.str("family", family);
@@ -92,22 +91,29 @@ fn build_family(
 }
 
 impl IndexSet {
-    /// Builds all three families from a cube. Each family's posting lists
-    /// are built in parallel across `FBOX_THREADS` workers (deterministic:
-    /// every list lands in its canonical slot regardless of thread count).
+    /// Builds all three families over a copy of `cube`. Each family's
+    /// posting lists are built in parallel across `FBOX_THREADS` workers
+    /// (deterministic: every list lands in its canonical slot regardless
+    /// of thread count).
     pub fn build(cube: &UnfairnessCube) -> Self {
+        Self::from_cube(cube.clone())
+    }
+
+    /// [`Self::build`], taking ownership of the cube instead of copying it.
+    pub(crate) fn from_cube(cube: UnfairnessCube) -> Self {
         let _span = fbox_telemetry::span!("index.build");
         let _trace = fbox_trace::span("index.build");
         let (ng, nq, nl) = (cube.n_groups(), cube.n_queries(), cube.n_locations());
+        let c = &cube;
 
         let group_lists = build_family("group", &pair_grid(nq, nl), |q, l| {
-            (0..ng as u32).map(|g| cube.get(GroupId(g), QueryId(q), LocationId(l))).collect()
+            (0..ng as u32).map(move |g| c.get(GroupId(g), QueryId(q), LocationId(l)))
         });
         let query_lists = build_family("query", &pair_grid(ng, nl), |g, l| {
-            (0..nq as u32).map(|q| cube.get(GroupId(g), QueryId(q), LocationId(l))).collect()
+            (0..nq as u32).map(move |q| c.get(GroupId(g), QueryId(q), LocationId(l)))
         });
         let location_lists = build_family("location", &pair_grid(ng, nq), |g, q| {
-            (0..nl as u32).map(|l| cube.get(GroupId(g), QueryId(q), LocationId(l))).collect()
+            (0..nl as u32).map(move |l| c.get(GroupId(g), QueryId(q), LocationId(l)))
         });
 
         let t = fbox_telemetry::global();
@@ -118,92 +124,77 @@ impl IndexSet {
         }
 
         let n_present = group_lists.iter().map(PostingList::len).sum();
-        Self {
-            n_groups: ng,
-            n_queries: nq,
-            n_locations: nl,
-            group_lists,
-            query_lists,
-            location_lists,
-            n_present,
-            complete: n_present == ng * nq * nl,
-        }
+        Self { cube, group_lists, query_lists, location_lists, n_present }
     }
 
-    /// Delta-updates every index entry touched by cell `(q,l)` from the
-    /// cube's current values, leaving the set bit-identical to
-    /// [`Self::build`] over the same cube. One cell touches exactly one
-    /// group list (all `n_groups` entries of `I(q,l)`) plus, per group,
-    /// entry `q` of `I(g,l)` and entry `l` of `I(g,q)` — cost proportional
-    /// to the dirty cell's fan-out, never to the cube.
+    /// Writes cell `(q,l)` — `value_of(g)` becomes `d⟨g,q,l⟩` for every
+    /// group — into the cube and delta-updates every index entry it
+    /// touches, leaving the set bit-identical to [`Self::build`] over the
+    /// updated cube. One cell touches exactly one group list (all
+    /// `n_groups` entries of `I(q,l)`) plus, per group, entry `q` of
+    /// `I(g,l)` and entry `l` of `I(g,q)` — cost proportional to the dirty
+    /// cell's fan-out, never to the cube.
     ///
     /// Bit-equality holds because [`PostingList::update`] reproduces the
     /// total (value desc, id asc) order exactly, and because cube cells
     /// are independent: re-deriving one cell never moves entries owned by
     /// another.
-    pub fn update_cell(&mut self, cube: &UnfairnessCube, q: QueryId, l: LocationId) {
-        assert_eq!(
-            (cube.n_groups(), cube.n_queries(), cube.n_locations()),
-            (self.n_groups, self.n_queries, self.n_locations),
-            "cube dimensions changed under the index"
-        );
-        let slot = q.0 as usize * self.n_locations + l.0 as usize;
-        let before = self.group_lists[slot].len();
-        for g in 0..self.n_groups as u32 {
-            let v = cube.get(GroupId(g), q, l);
-            self.group_lists[slot].update(g, v);
-            self.query_lists[g as usize * self.n_locations + l.0 as usize].update(q.0, v);
-            self.location_lists[g as usize * self.n_queries + q.0 as usize].update(l.0, v);
+    ///
+    /// Panics on an id out of range, or (as [`UnfairnessCube::set_opt`]
+    /// does) on a value outside `[0, 1]`.
+    pub fn update_cell(
+        &mut self,
+        q: QueryId,
+        l: LocationId,
+        mut value_of: impl FnMut(GroupId) -> Option<f64>,
+    ) {
+        let (nq, nl) = (self.cube.n_queries(), self.cube.n_locations());
+        let (qi, li) = (q.0 as usize, l.0 as usize);
+        for g in 0..self.cube.n_groups() as u32 {
+            let old = self.cube.get(GroupId(g), q, l);
+            let new = value_of(GroupId(g));
+            self.cube.set_opt(GroupId(g), q, l, new);
+            self.n_present =
+                self.n_present + usize::from(new.is_some()) - usize::from(old.is_some());
+            self.group_lists[qi * nl + li].update(g, old, new);
+            self.query_lists[g as usize * nl + li].update(q.0, old, new);
+            self.location_lists[g as usize * nq + qi].update(l.0, old, new);
         }
-        let after = self.group_lists[slot].len();
-        let n = self.n_present + after;
-        debug_assert!(before <= n, "posting list shrank below the entries it contributed");
-        self.n_present = n - before;
-        self.complete = self.n_present == self.n_groups * self.n_queries * self.n_locations;
     }
 
-    /// Number of groups.
-    pub fn n_groups(&self) -> usize {
-        self.n_groups
+    /// The indexed cube: the one copy of every cell value.
+    pub fn cube(&self) -> &UnfairnessCube {
+        &self.cube
     }
 
-    /// Number of queries.
-    pub fn n_queries(&self) -> usize {
-        self.n_queries
-    }
-
-    /// Number of locations.
-    pub fn n_locations(&self) -> usize {
-        self.n_locations
-    }
-
-    /// Whether the underlying cube had every cell present.
+    /// Whether every cube cell is present. O(1): kept up to date by
+    /// [`Self::update_cell`].
     pub fn is_complete(&self) -> bool {
-        self.complete
+        self.n_present == self.cube.raw_data().len()
     }
 
     /// Size of the indexed dimension.
     pub fn dim_len(&self, dim: Dimension) -> usize {
         match dim {
-            Dimension::Group => self.n_groups,
-            Dimension::Query => self.n_queries,
-            Dimension::Location => self.n_locations,
+            Dimension::Group => self.cube.n_groups(),
+            Dimension::Query => self.cube.n_queries(),
+            Dimension::Location => self.cube.n_locations(),
         }
     }
 
     /// `I(q,l)`: groups ranked by unfairness for one query/location pair.
     pub fn group_list(&self, q: QueryId, l: LocationId) -> &PostingList {
-        &self.group_lists[q.0 as usize * self.n_locations + l.0 as usize]
+        &self.group_lists[q.0 as usize * self.cube.n_locations() + l.0 as usize]
     }
 
     /// `I(g,l)`: queries ranked for one group/location pair.
     pub fn query_list(&self, g: GroupId, l: LocationId) -> &PostingList {
-        &self.query_lists[g.0 as usize * self.n_locations + l.0 as usize]
+        &self.query_lists[g.0 as usize * self.cube.n_locations() + l.0 as usize]
     }
 
     /// `I(g,q)`: locations ranked for one group/query pair.
     pub fn location_list(&self, g: GroupId, q: QueryId) -> &PostingList {
-        &self.location_lists[g.0 as usize * self.n_queries + q.0 as usize]
+        &self.location_lists[g.0 as usize * self.cube.n_queries() + q.0 as usize]
     }
 
     /// The posting list ranking dimension `dim` for one pair of entities of
@@ -221,11 +212,26 @@ impl IndexSet {
         }
     }
 
-    /// Direct cube lookup through the indices: `d⟨g,q,l⟩` via a random
-    /// access on the group list (all three families agree by
-    /// construction).
+    /// Random access: entity `e`'s value in the list
+    /// [`list_for(dim, pair)`](Self::list_for), read from the cube; `None`
+    /// if the cell is missing. On the threshold algorithms' inner loop, so
+    /// one offset and one slice bounds check: callers pass range-checked
+    /// ids (query and location ranges are re-checked in debug builds).
+    pub fn random_access(&self, dim: Dimension, pair: (u32, u32), e: u32) -> Option<f64> {
+        let (g, q, l) = match dim {
+            Dimension::Group => (e, pair.0, pair.1),
+            Dimension::Query => (pair.0, e, pair.1),
+            Dimension::Location => (pair.0, pair.1, e),
+        };
+        let (q, l, nq, nl) =
+            (q as usize, l as usize, self.cube.n_queries(), self.cube.n_locations());
+        debug_assert!(q < nq && l < nl, "cell ⟨{g}, {q}, {l}⟩ outside the cube");
+        self.cube.raw_data()[(g as usize * nq + q) * nl + l]
+    }
+
+    /// `d⟨g,q,l⟩` through [`Self::random_access`] on the group family.
     pub fn value(&self, g: GroupId, q: QueryId, l: LocationId) -> Option<f64> {
-        self.group_list(q, l).random_access(g.0)
+        self.random_access(Dimension::Group, (q.0, l.0), g.0)
     }
 }
 
@@ -248,31 +254,30 @@ mod tests {
         c
     }
 
+    /// Random access through all three families, and through `value`,
+    /// reads exactly the cube's cells (missing cells included).
+    fn assert_random_access_matches_cube(idx: &IndexSet) {
+        let cube = idx.cube();
+        for g in 0..cube.n_groups() as u32 {
+            for q in 0..cube.n_queries() as u32 {
+                for l in 0..cube.n_locations() as u32 {
+                    let expected = cube.get(GroupId(g), QueryId(q), LocationId(l));
+                    assert_eq!(idx.random_access(Dimension::Group, (q, l), g), expected);
+                    assert_eq!(idx.random_access(Dimension::Query, (g, l), q), expected);
+                    assert_eq!(idx.random_access(Dimension::Location, (g, q), l), expected);
+                    assert_eq!(idx.value(GroupId(g), QueryId(q), LocationId(l)), expected);
+                }
+            }
+        }
+    }
+
     #[test]
     fn three_families_agree_with_cube() {
         let cube = small_cube();
         let idx = IndexSet::build(&cube);
         assert!(idx.is_complete());
-        for g in 0..2u32 {
-            for q in 0..2u32 {
-                for l in 0..2u32 {
-                    let expected = cube.get(GroupId(g), QueryId(q), LocationId(l));
-                    assert_eq!(
-                        idx.group_list(QueryId(q), LocationId(l)).random_access(g),
-                        expected
-                    );
-                    assert_eq!(
-                        idx.query_list(GroupId(g), LocationId(l)).random_access(q),
-                        expected
-                    );
-                    assert_eq!(
-                        idx.location_list(GroupId(g), QueryId(q)).random_access(l),
-                        expected
-                    );
-                    assert_eq!(idx.value(GroupId(g), QueryId(q), LocationId(l)), expected);
-                }
-            }
-        }
+        assert_eq!(idx.cube().raw_data(), cube.raw_data());
+        assert_random_access_matches_cube(&idx);
     }
 
     #[test]
@@ -296,11 +301,12 @@ mod tests {
         let idx = IndexSet::build(&c);
         assert!(!idx.is_complete());
         assert_eq!(idx.group_list(QueryId(0), LocationId(1)).len(), 0);
+        assert_eq!(idx.random_access(Dimension::Location, (0, 0), 0), Some(0.5));
+        assert_eq!(idx.random_access(Dimension::Location, (0, 0), 1), None);
     }
 
     fn assert_index_eq(a: &IndexSet, b: &IndexSet) {
         assert_eq!(a.n_present, b.n_present);
-        assert_eq!(a.complete, b.complete);
         for (fa, fb) in [
             (&a.group_lists, &b.group_lists),
             (&a.query_lists, &b.query_lists),
@@ -315,47 +321,75 @@ mod tests {
 
     #[test]
     fn update_cell_matches_full_rebuild() {
-        let mut cube = UnfairnessCube::with_dims(3, 2, 2);
-        let mut idx = IndexSet::build(&cube);
+        let mut idx = IndexSet::build(&UnfairnessCube::with_dims(3, 2, 2));
         assert!(!idx.is_complete());
 
-        // Stream cells in, delta-updating after each; the index must stay
-        // bit-identical to a full rebuild at every step.
+        // After every step the index must be bit-identical to a full
+        // rebuild over its own cube, serve the cube's values through all
+        // three families, and agree with the cube's completeness scan.
+        let check = |idx: &IndexSet| {
+            assert_index_eq(idx, &IndexSet::build(idx.cube()));
+            assert_random_access_matches_cube(idx);
+            assert_eq!(idx.is_complete(), idx.cube().is_complete());
+        };
+
+        // Stream cells in, delta-updating after each.
         let mut v = 0.0;
         for q in 0..2u32 {
             for l in 0..2u32 {
-                for g in 0..3u32 {
-                    v += 0.05;
-                    cube.set(GroupId(g), QueryId(q), LocationId(l), v);
-                }
-                idx.update_cell(&cube, QueryId(q), LocationId(l));
-                assert_index_eq(&idx, &IndexSet::build(&cube));
+                let base = v;
+                idx.update_cell(QueryId(q), LocationId(l), |g| {
+                    Some(base + 0.05 * f64::from(g.0 + 1))
+                });
+                v += 0.15;
+                check(&idx);
             }
         }
         assert!(idx.is_complete());
 
         // Re-deriving a cell with changed values (a later epoch revises
         // it) must also match.
-        cube.set(GroupId(1), QueryId(0), LocationId(1), 0.99);
-        idx.update_cell(&cube, QueryId(0), LocationId(1));
-        assert_index_eq(&idx, &IndexSet::build(&cube));
+        idx.update_cell(QueryId(0), LocationId(1), |g| Some(if g.0 == 1 { 0.99 } else { 0.5 }));
+        check(&idx);
+        assert_eq!(idx.value(GroupId(1), QueryId(0), LocationId(1)), Some(0.99));
+        assert_eq!(idx.group_list(QueryId(0), LocationId(1)).sorted_desc(0), Some((1, 0.99)));
+
+        // Clear one group of a cell, then a whole cell, back to missing...
+        idx.update_cell(QueryId(1), LocationId(0), |g| (g.0 != 2).then_some(0.25));
+        check(&idx);
+        assert!(!idx.is_complete());
+        idx.update_cell(QueryId(0), LocationId(0), |_| None);
+        check(&idx);
+        assert_eq!(idx.group_list(QueryId(0), LocationId(0)).len(), 0);
+
+        // ...and refill both.
+        idx.update_cell(QueryId(0), LocationId(0), |g| Some(0.1 * f64::from(g.0)));
+        check(&idx);
+        assert!(!idx.is_complete());
+        idx.update_cell(QueryId(1), LocationId(0), |_| Some(0.7));
+        check(&idx);
+        assert!(idx.is_complete());
     }
 
     #[test]
     fn list_for_dispatches() {
         let cube = small_cube();
         let idx = IndexSet::build(&cube);
+        assert!(std::ptr::eq(
+            idx.list_for(Dimension::Group, (1, 0)),
+            idx.group_list(QueryId(1), LocationId(0))
+        ));
+        assert!(std::ptr::eq(
+            idx.list_for(Dimension::Query, (1, 0)),
+            idx.query_list(GroupId(1), LocationId(0))
+        ));
+        assert!(std::ptr::eq(
+            idx.list_for(Dimension::Location, (0, 1)),
+            idx.location_list(GroupId(0), QueryId(1))
+        ));
         assert_eq!(
-            idx.list_for(Dimension::Group, (1, 1)).random_access(0),
-            cube.get(GroupId(0), QueryId(1), LocationId(1))
-        );
-        assert_eq!(
-            idx.list_for(Dimension::Query, (1, 0)).random_access(1),
-            cube.get(GroupId(1), QueryId(1), LocationId(0))
-        );
-        assert_eq!(
-            idx.list_for(Dimension::Location, (0, 1)).random_access(1),
-            cube.get(GroupId(0), QueryId(1), LocationId(1))
+            idx.list_for(Dimension::Query, (1, 0)).sorted_desc(0),
+            Some((1, cube.get(GroupId(1), QueryId(1), LocationId(0)).unwrap()))
         );
     }
 }

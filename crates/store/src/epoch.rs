@@ -9,9 +9,10 @@
 //! epoch and are byte-stable for as long as the pin is held, no matter
 //! how much ingestion or publishing happens concurrently.
 //!
-//! Publishing clones the writer F-Box — an O(cube) copy, paid only at
-//! epoch boundaries, never per cell. Epoch numbers start at 0 (the empty
-//! universe) and increase by one per [`EpochStore::publish`].
+//! Publishing clones the writer F-Box — the cube plus the sorted posting
+//! entries, an O(cube) copy paid only at epoch boundaries, never per
+//! cell. Epoch numbers start at 0 (the empty universe) and increase by
+//! one per [`EpochStore::publish`].
 //!
 //! Determinism: the store reads no clocks and no environment; epoch
 //! contents are a pure function of the ingestion sequence, so two runs
